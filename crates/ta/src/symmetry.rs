@@ -39,6 +39,7 @@
 use crate::explore::{Action, SymState};
 use crate::formula::StateFormula;
 use crate::model::{Automaton, AutomatonId, ClockAtom, Network};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use tempo_dbm::Clock;
 use tempo_expr::{BinOp, Expr, Stmt, UnOp, VarId};
@@ -68,6 +69,12 @@ pub struct Perm {
     clock_map: Vec<usize>,
     /// Identity-value renaming, as sorted `(from, to)` pairs.
     id_map: Vec<(i64, i64)>,
+    /// Inverse of `aut_map`: the image's automaton `k` is `s`'s
+    /// automaton `aut_inv[k]`.
+    aut_inv: Vec<usize>,
+    /// Inverse of `clock_map`: the image's clock column `k` is `s`'s
+    /// column `clock_inv[k]`.
+    clock_inv: Vec<usize>,
 }
 
 impl Perm {
@@ -94,6 +101,9 @@ pub struct Symmetry {
     perms: Vec<Perm>,
     /// Id-marked shared variables whose values are renamed along.
     marked: Vec<VarId>,
+    /// Flat store offsets of every element of the marked variables, in
+    /// increasing order (the order the store compares them in).
+    marked_slots: Vec<usize>,
     /// Channels whose index expressions carry component identities (for
     /// renaming resolved indices in trace actions).
     id_channels: Vec<bool>,
@@ -284,10 +294,20 @@ impl Symmetry {
         }
 
         // 4. Enumerate the group Sym(free) as explicit automorphisms.
+        let mut marked_slots: Vec<usize> = marked
+            .iter()
+            .flat_map(|&v| {
+                let info = net.decls.info(v);
+                info.offset()..info.offset() + info.len
+            })
+            .collect();
+        marked_slots.sort_unstable();
+        marked_slots.dedup();
         let sym = Symmetry {
             perms: Vec::new(),
             members,
             marked,
+            marked_slots,
             id_channels,
             orbit_count,
         };
@@ -340,6 +360,8 @@ impl Symmetry {
             }
         }
         Perm {
+            aut_inv: inverse(&aut_map),
+            clock_inv: inverse(&clock_map),
             aut_map,
             clock_map,
             id_map,
@@ -440,29 +462,65 @@ impl Symmetry {
 
     /// Canonicalizes a state: the lexicographically smallest image of
     /// `s` under the group, together with the index of the permutation
-    /// that produced it.
+    /// that produced it (the lowest index among tied images).
+    ///
+    /// Each image is compared with the incumbent in place and only an
+    /// image that is strictly smaller is built, so a group element costs
+    /// one comparison that usually stops within the first few locations.
     #[must_use]
     pub fn canonicalize(&self, net: &Network, s: &SymState) -> (SymState, usize) {
-        let mut best = s.clone();
+        let mut best: Option<SymState> = None;
         let mut best_idx = 0;
         for (i, p) in self.perms.iter().enumerate().skip(1) {
-            let cand = self.apply(net, p, s);
-            if state_key(&cand) < state_key(&best) {
-                best = cand;
+            if self.cmp_image(p, s, best.as_ref().unwrap_or(s)).is_lt() {
+                best = Some(self.apply(net, p, s));
                 best_idx = i;
             }
         }
-        (best, best_idx)
+        (best.unwrap_or_else(|| s.clone()), best_idx)
+    }
+
+    /// Compares the image `p(s)` with `other` without building the image:
+    /// locations, then the store, then the zone's raw bounds row by row —
+    /// the order of a lexicographic comparison of the three encodings.
+    /// `other` must be an image of `s`, so the two stores can differ only
+    /// in the marked slots.
+    fn cmp_image(&self, p: &Perm, s: &SymState, other: &SymState) -> Ordering {
+        for (k, &from) in p.aut_inv.iter().enumerate() {
+            let ord = s.locs[from].cmp(&other.locs[k]);
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        let (store, other_store) = (s.store.as_slice(), other.store.as_slice());
+        for &o in &self.marked_slots {
+            let ord = p.map_id(store[o]).cmp(&other_store[o]);
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        let dim = s.zone.dim();
+        let (zone, other_zone) = (s.zone.as_slice(), other.zone.as_slice());
+        for (i, other_row) in other_zone.chunks_exact(dim).enumerate() {
+            let row = &zone[p.clock_inv[i] * dim..][..dim];
+            for (&j, b) in p.clock_inv.iter().zip(other_row) {
+                let ord = row[j].raw().cmp(&b.raw());
+                if ord.is_ne() {
+                    return ord;
+                }
+            }
+        }
+        Ordering::Equal
     }
 }
 
-/// Comparison key of a state for canonical-representative selection.
-fn state_key(s: &SymState) -> (&[crate::model::LocationId], &tempo_expr::Store, Vec<i64>) {
-    (
-        &s.locs,
-        &s.store,
-        s.zone.as_slice().iter().map(|b| b.raw()).collect(),
-    )
+/// The inverse of a permutation of `0..map.len()`.
+fn inverse(map: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0; map.len()];
+    for (from, &to) in map.iter().enumerate() {
+        inv[to] = from;
+    }
+    inv
 }
 
 /// Rewrites the resolved index inside a sync label `chan[idx]` /
@@ -1124,7 +1182,170 @@ fn permutations(v: &mut [i64], k: usize, f: &mut impl FnMut(&[i64])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LocationId, NetworkBuilder};
+    use crate::model::{ChannelKind, LocationId, NetworkBuilder};
+    use std::collections::{HashSet, VecDeque};
+
+    /// Comparison key of a state for canonical-representative selection.
+    fn state_key(s: &SymState) -> (&[LocationId], &tempo_expr::Store, Vec<i64>) {
+        (
+            &s.locs,
+            &s.store,
+            s.zone.as_slice().iter().map(|b| b.raw()).collect(),
+        )
+    }
+
+    /// Reference canonicalization: builds every image and keeps the
+    /// first one with the strictly smallest [`state_key`].
+    fn canonicalize_by_images(sym: &Symmetry, net: &Network, s: &SymState) -> (SymState, usize) {
+        let mut best = s.clone();
+        let mut best_idx = 0;
+        for (i, p) in sym.perms.iter().enumerate().skip(1) {
+            let cand = sym.apply(net, p, s);
+            if state_key(&cand) < state_key(&best) {
+                best = cand;
+                best_idx = i;
+            }
+        }
+        (best, best_idx)
+    }
+
+    /// Breadth-first search over orbit representatives of `net`, up to
+    /// `budget` stored states, asserting that [`Symmetry::canonicalize`]
+    /// agrees with [`canonicalize_by_images`] on every state and every
+    /// successor met. Returns the number of states compared.
+    fn assert_agrees_with_oracle(net: &Network, budget: usize) -> usize {
+        let sym = Symmetry::detect(net, &[&StateFormula::True]).expect("orbit");
+        let exp = crate::Explorer::new(net);
+        let check = |s: &SymState| {
+            let got = sym.canonicalize(net, s);
+            assert_eq!(got, canonicalize_by_images(&sym, net, s), "state {s:?}");
+            got.0
+        };
+        let init = exp.initial_state();
+        // Every group element fixes the initial state: a full tie, which
+        // the lowest index must win.
+        assert_eq!(sym.apply(net, sym.perm(1), &init), init);
+        assert_eq!(sym.canonicalize(net, &init).1, 0);
+        let mut compared = 0;
+        let mut seen = HashSet::new();
+        let mut queue = VecDeque::from([init]);
+        while let Some(s) = queue.pop_front() {
+            check(&s);
+            compared += 1;
+            for (_, succ) in exp.successors(&s) {
+                let rep = check(&succ);
+                compared += 1;
+                let (locs, store, zone) = state_key(&rep);
+                if seen.len() < budget && seen.insert((locs.to_vec(), store.clone(), zone)) {
+                    queue.push_back(rep);
+                }
+            }
+        }
+        compared
+    }
+
+    /// The train-gate of Bozga et al. (DATE 2012, Fig. 1) for `n` trains,
+    /// with `list` marked as holding train identities.
+    fn train_gate(n: usize) -> Network {
+        let mut b = NetworkBuilder::new();
+        let n_i64 = n as i64;
+        let appr_ch = b.channel_array("appr", n, ChannelKind::Binary, false);
+        let go_ch = b.channel_array("go", n, ChannelKind::Binary, false);
+        let stop_ch = b.channel_array("stop", n, ChannelKind::Binary, false);
+        let leave_ch = b.channel_array("leave", n, ChannelKind::Binary, false);
+        let list = b.decls_mut().array("list", n + 1, 0, n_i64 - 1);
+        let len = b.decls_mut().int("len", 0, n_i64);
+        let idx = b.decls_mut().int("i", 0, n_i64);
+        b.mark_id_var(list);
+        for id in 0..n {
+            let x = b.clock(&format!("x{id}"));
+            let mut t = b.automaton(&format!("Train{id}"));
+            let safe = t.location("Safe");
+            let appr = t.location_with_invariant("Appr", vec![ClockAtom::le(x, 20)]);
+            let stop = t.location("Stop");
+            let start = t.location_with_invariant("Start", vec![ClockAtom::le(x, 15)]);
+            let cross = t.location_with_invariant("Cross", vec![ClockAtom::le(x, 5)]);
+            t.set_initial(safe);
+            let me = Expr::konst(id as i64);
+            t.edge(safe, appr)
+                .send_indexed(appr_ch, me.clone())
+                .reset(x, 0)
+                .done();
+            t.edge(appr, cross)
+                .guard_clock(ClockAtom::ge(x, 10))
+                .reset(x, 0)
+                .done();
+            t.edge(appr, stop)
+                .guard_clock(ClockAtom::le(x, 10))
+                .recv_indexed(stop_ch, me.clone())
+                .reset(x, 0)
+                .done();
+            t.edge(stop, start)
+                .recv_indexed(go_ch, me.clone())
+                .reset(x, 0)
+                .done();
+            t.edge(start, cross)
+                .guard_clock(ClockAtom::ge(x, 7))
+                .reset(x, 0)
+                .done();
+            t.edge(cross, safe)
+                .guard_clock(ClockAtom::ge(x, 3))
+                .send_indexed(leave_ch, me)
+                .done();
+            t.done();
+        }
+        let enqueue = Stmt::seq(vec![
+            Stmt::assign_index(list, Expr::var(len), Expr::select(0)),
+            Stmt::assign(len, Expr::var(len) + Expr::konst(1)),
+        ]);
+        let front = Expr::index(list, Expr::konst(0));
+        let tail = Expr::index(list, Expr::var(len) - Expr::konst(1));
+        let dequeue = Stmt::seq(vec![
+            Stmt::assign(idx, Expr::konst(0)),
+            Stmt::assign(len, Expr::var(len) - Expr::konst(1)),
+            Stmt::while_loop(
+                Expr::var(idx).lt(Expr::var(len)),
+                Stmt::seq(vec![
+                    Stmt::assign_index(
+                        list,
+                        Expr::var(idx),
+                        Expr::index(list, Expr::var(idx) + Expr::konst(1)),
+                    ),
+                    Stmt::assign(idx, Expr::var(idx) + Expr::konst(1)),
+                ]),
+            ),
+            Stmt::assign_index(list, Expr::var(idx), Expr::konst(0)),
+        ]);
+        let mut c = b.automaton("Gate");
+        let free = c.location("Free");
+        let occ = c.location("Occ");
+        let stopping = c.committed_location("Stopping");
+        c.set_initial(free);
+        c.edge(free, occ)
+            .select(0, n_i64 - 1)
+            .guard_data(Expr::var(len).eq(Expr::konst(0)))
+            .recv_indexed(appr_ch, Expr::select(0))
+            .update(enqueue.clone())
+            .done();
+        c.edge(free, occ)
+            .guard_data(Expr::var(len).gt(Expr::konst(0)))
+            .send_indexed(go_ch, front.clone())
+            .done();
+        c.edge(occ, stopping)
+            .select(0, n_i64 - 1)
+            .recv_indexed(appr_ch, Expr::select(0))
+            .update(enqueue)
+            .done();
+        c.edge(stopping, occ).send_indexed(stop_ch, tail).done();
+        c.edge(occ, free)
+            .select(0, n_i64 - 1)
+            .guard_data(Expr::select(0).eq(front))
+            .recv_indexed(leave_ch, Expr::select(0))
+            .update(dequeue)
+            .done();
+        c.done();
+        b.build()
+    }
 
     /// `n` identical lamps (no channels, no data): an anonymous orbit.
     fn lamps(n: usize) -> Network {
@@ -1203,6 +1424,28 @@ mod tests {
             assert!(round.is_identity());
             let back = sym.apply(&net, &inv, &sym.apply(&net, &p, &s));
             assert_eq!(back, s);
+        }
+    }
+
+    #[test]
+    fn train_gate_group_pins_the_zero_queue_identity() {
+        // `list` starts all zeros, which singles out identity 0.
+        let net = train_gate(5);
+        let sym = Symmetry::detect(&net, &[&StateFormula::True]).expect("orbit");
+        assert_eq!(sym.group_size(), 24);
+    }
+
+    #[test]
+    fn in_place_canonicalization_matches_building_every_image() {
+        for n in [4, 5] {
+            let compared = assert_agrees_with_oracle(&train_gate(n), 1500);
+            assert!(
+                compared > 1500,
+                "train-gate({n}): {compared} states compared"
+            );
+        }
+        for n in [3, 4] {
+            assert_agrees_with_oracle(&lamps(n), 1500);
         }
     }
 }

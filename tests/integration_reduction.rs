@@ -15,6 +15,7 @@ use tempo_core::expr::{Expr, Stmt};
 use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::ta::{ChannelKind, ClockAtom, ModelChecker, Network, NetworkBuilder, StateFormula};
 use tempo_core::witness::{realize, replay};
+use tempo_models::train_gate;
 
 /// Deterministic splitmix/LCG-style generator: the differential sweep
 /// must reproduce bit-identically from the seed alone.
@@ -301,5 +302,66 @@ fn bip_persistent_sets_agree_with_full_exploration_across_seeds() {
     assert!(
         reduced_fired > 0,
         "the persistent-set reduction never fired across the sweep"
+    );
+}
+
+/// Pins the exact work counters of the default-config train-gate checks,
+/// as the build-every-image canonicalisation produced them: any
+/// canonicaliser that picks the same orbit representatives (and the same
+/// lowest-index permutation on ties) reproduces them bit for bit. One
+/// worker runs the sequential engine; the parallel engines explore in
+/// schedule order, so at 2–4 workers only the verdict, its trace and the
+/// inclusion-reduced fixpoint size must match it.
+#[test]
+fn symmetry_counters_on_default_train_gate_are_pinned() {
+    let mut counters = Vec::new();
+    for n in [5usize, 6] {
+        let tg = train_gate(n);
+        let (safe, safe_stats) = ModelChecker::new(&tg.net).always(&tg.safety());
+        let (dl, dl_stats) = ModelChecker::new(&tg.net).deadlock_free();
+        assert!(
+            safe.holds() && dl.holds(),
+            "N={n}: train-gate is safe and deadlock-free"
+        );
+        for s in [&safe_stats, &dl_stats] {
+            counters.push((n, s.explored, s.stored, s.transitions, s.sym_avoided));
+        }
+        for workers in 2..=4 {
+            let (par_safe, par_safe_stats) = ModelChecker::new(&tg.net)
+                .with_threads(workers)
+                .always(&tg.safety());
+            let (par_dl, par_dl_stats) = ModelChecker::new(&tg.net)
+                .with_threads(workers)
+                .deadlock_free();
+            assert_eq!(
+                format!("{par_safe:?}"),
+                format!("{safe:?}"),
+                "N={n} workers={workers}: A[] verdict or trace moved"
+            );
+            assert_eq!(
+                format!("{par_dl:?}"),
+                format!("{dl:?}"),
+                "N={n} workers={workers}: deadlock verdict or trace moved"
+            );
+            assert_eq!(
+                par_safe_stats.stored, safe_stats.stored,
+                "N={n} workers={workers}"
+            );
+            assert_eq!(
+                par_dl_stats.stored, dl_stats.stored,
+                "N={n} workers={workers}"
+            );
+        }
+    }
+    // (N, explored, stored, transitions, sym_avoided): A[] safety, then
+    // deadlock-freedom, per train count.
+    assert_eq!(
+        counters,
+        vec![
+            (5, 472, 299, 754, 188),
+            (5, 3479, 2748, 6415, 1295),
+            (6, 847, 481, 1435, 406),
+            (6, 16763, 12964, 32636, 8056),
+        ]
     );
 }
