@@ -10,6 +10,7 @@
 use crate::model::{
     AutomatonId, ChannelKind, ClockAtom, Edge, LocationId, LocationKind, Network, Sync, SyncDir,
 };
+use std::ops::ControlFlow;
 use tempo_dbm::{Dbm, Federation};
 use tempo_expr::Store;
 
@@ -75,6 +76,18 @@ impl std::fmt::Display for Action {
 /// (edge index, selected binding) pairs.
 type ReceiverChoices = Vec<(usize, Vec<i64>)>;
 
+/// One automaton's part in a joint transition: the automaton, its edge
+/// and the edge's `select` binding.
+type Participant<'a> = (AutomatonId, &'a Edge, &'a [i64]);
+
+/// Buffers for a location vector's LU bounds, reused across the
+/// successors of one state.
+#[derive(Default)]
+struct LuScratch {
+    lower: Vec<i64>,
+    upper: Vec<i64>,
+}
+
 /// The symbolic successor generator for a network.
 ///
 /// ```
@@ -108,12 +121,7 @@ impl<'n> Explorer<'n> {
     /// network's guards and invariants.
     #[must_use]
     pub fn new(net: &'n Network) -> Self {
-        Explorer {
-            max_consts: net.max_constants(),
-            net,
-            extrapolate: true,
-            lu: None,
-        }
+        Self::with_extra_constants(net, &[])
     }
 
     /// Creates an explorer whose extrapolation constants additionally
@@ -181,7 +189,7 @@ impl<'n> Explorer<'n> {
             "initial state violates invariants"
         );
         let mut state = SymState { locs, store, zone };
-        self.delay_close(&mut state);
+        self.delay_close(&mut state, &mut LuScratch::default());
         state
     }
 
@@ -228,11 +236,12 @@ impl<'n> Explorer<'n> {
                 if sync.dir != SyncDir::Send || !self.net.channels[sync.channel.index()].urgent {
                     continue;
                 }
-                for sel in SelectIter::new(&e.selects) {
-                    let Some(idx) = self.resolve_index(sync, state, &sel) else {
+                let mut sels = Selections::new(&e.selects);
+                while let Some(sel) = sels.next_binding() {
+                    let Some(idx) = self.resolve_index(sync, state, sel) else {
                         continue;
                     };
-                    if !self.data_guard_holds(e, state, &sel) {
+                    if !self.data_guard_holds(e, state, sel) {
                         continue;
                     }
                     // Find a matching enabled receiver.
@@ -245,9 +254,10 @@ impl<'n> Explorer<'n> {
                             if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
                                 continue;
                             }
-                            for rsel in SelectIter::new(&r.selects) {
-                                if self.resolve_index(rs, state, &rsel) == Some(idx)
-                                    && self.data_guard_holds(r, state, &rsel)
+                            let mut rsels = Selections::new(&r.selects);
+                            while let Some(rsel) = rsels.next_binding() {
+                                if self.resolve_index(rs, state, rsel) == Some(idx)
+                                    && self.data_guard_holds(r, state, rsel)
                                 {
                                     return true;
                                 }
@@ -273,7 +283,7 @@ impl<'n> Explorer<'n> {
     }
 
     /// Applies `up ∧ invariant` (if delay is allowed) and extrapolation.
-    fn delay_close(&self, state: &mut SymState) {
+    fn delay_close(&self, state: &mut SymState, scratch: &mut LuScratch) {
         if self.delay_allowed(state) {
             state.zone.up();
             self.apply_invariants(&state.locs, &mut state.zone);
@@ -281,10 +291,9 @@ impl<'n> Explorer<'n> {
         if self.extrapolate {
             match &self.lu {
                 Some(lu) => {
-                    let mut lower = Vec::new();
-                    let mut upper = Vec::new();
-                    lu.state_bounds(&state.locs, &mut lower, &mut upper);
-                    state.zone.extrapolate_lu(&lower, &upper);
+                    let LuScratch { lower, upper } = scratch;
+                    lu.state_bounds(&state.locs, lower, upper);
+                    state.zone.extrapolate_lu(lower, upper);
                 }
                 None => state.zone.extrapolate(&self.max_consts),
             }
@@ -319,12 +328,14 @@ impl<'n> Explorer<'n> {
     ) -> Vec<(Action, SymState)> {
         let a = &self.net.automata[ai];
         let mut out = Vec::new();
+        let mut scratch = LuScratch::default();
         for (ei, e) in a.edges.iter().enumerate() {
             if e.from != state.locs[ai] || e.sync.is_some() {
                 continue;
             }
-            for sel in SelectIter::new(&e.selects) {
-                if let Some(next) = self.fire(state, &[(AutomatonId(ai), e, sel.clone())]) {
+            let mut sels = Selections::new(&e.selects);
+            while let Some(sel) = sels.next_binding() {
+                if let Some(next) = self.fire(state, &[(AutomatonId(ai), e, sel)], &mut scratch) {
                     out.push((
                         Action::Internal {
                             automaton: AutomatonId(ai),
@@ -346,6 +357,7 @@ impl<'n> Explorer<'n> {
         let committed = self.committed_set(state);
         let any_committed = committed.iter().any(|&c| c);
         let mut out = Vec::new();
+        let mut scratch = LuScratch::default();
 
         for (ai, a) in self.net.automata.iter().enumerate() {
             for (ei, e) in a.edges.iter().enumerate() {
@@ -357,9 +369,10 @@ impl<'n> Explorer<'n> {
                         if any_committed && !committed[ai] {
                             continue;
                         }
-                        for sel in SelectIter::new(&e.selects) {
+                        let mut sels = Selections::new(&e.selects);
+                        while let Some(sel) = sels.next_binding() {
                             if let Some(next) =
-                                self.fire(state, &[(AutomatonId(ai), e, sel.clone())])
+                                self.fire(state, &[(AutomatonId(ai), e, sel)], &mut scratch)
                             {
                                 out.push((
                                     Action::Internal {
@@ -372,8 +385,9 @@ impl<'n> Explorer<'n> {
                         }
                     }
                     Some(sync) if sync.dir == SyncDir::Send => {
-                        for sel in SelectIter::new(&e.selects) {
-                            let Some(idx) = self.resolve_index(sync, state, &sel) else {
+                        let mut sels = Selections::new(&e.selects);
+                        while let Some(sel) = sels.next_binding() {
+                            let Some(idx) = self.resolve_index(sync, state, sel) else {
                                 continue;
                             };
                             match self.net.channels[sync.channel.index()].kind {
@@ -381,19 +395,21 @@ impl<'n> Explorer<'n> {
                                     state,
                                     &committed,
                                     any_committed,
-                                    (ai, ei, e, &sel),
+                                    (ai, ei, e, sel),
                                     sync,
                                     idx,
                                     &mut out,
+                                    &mut scratch,
                                 ),
                                 ChannelKind::Broadcast => self.broadcast_syncs(
                                     state,
                                     &committed,
                                     any_committed,
-                                    (ai, ei, e, &sel),
+                                    (ai, ei, e, sel),
                                     sync,
                                     idx,
                                     &mut out,
+                                    &mut scratch,
                                 ),
                             }
                         }
@@ -411,10 +427,11 @@ impl<'n> Explorer<'n> {
         state: &SymState,
         committed: &[bool],
         any_committed: bool,
-        sender: (usize, usize, &Edge, &Vec<i64>),
+        sender: (usize, usize, &Edge, &[i64]),
         sync: &Sync,
         idx: i64,
         out: &mut Vec<(Action, SymState)>,
+        scratch: &mut LuScratch,
     ) {
         let (ai, ei, e, sel) = sender;
         for (bi, b) in self.net.automata.iter().enumerate() {
@@ -432,15 +449,13 @@ impl<'n> Explorer<'n> {
                 if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
                     continue;
                 }
-                for rsel in SelectIter::new(&r.selects) {
-                    if self.resolve_index(rs, state, &rsel) != Some(idx) {
+                let mut rsels = Selections::new(&r.selects);
+                while let Some(rsel) = rsels.next_binding() {
+                    if self.resolve_index(rs, state, rsel) != Some(idx) {
                         continue;
                     }
-                    let participants = [
-                        (AutomatonId(ai), e, sel.clone()),
-                        (AutomatonId(bi), r, rsel.clone()),
-                    ];
-                    if let Some(next) = self.fire(state, &participants) {
+                    let participants = [(AutomatonId(ai), e, sel), (AutomatonId(bi), r, rsel)];
+                    if let Some(next) = self.fire(state, &participants, scratch) {
                         out.push((
                             Action::Sync {
                                 label: format!(
@@ -465,10 +480,11 @@ impl<'n> Explorer<'n> {
         state: &SymState,
         committed: &[bool],
         any_committed: bool,
-        sender: (usize, usize, &Edge, &Vec<i64>),
+        sender: (usize, usize, &Edge, &[i64]),
         sync: &Sync,
         idx: i64,
         out: &mut Vec<(Action, SymState)>,
+        scratch: &mut LuScratch,
     ) {
         let (ai, ei, e, sel) = sender;
         // For each other automaton, collect its enabled receiving edges
@@ -487,11 +503,12 @@ impl<'n> Explorer<'n> {
                 if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
                     continue;
                 }
-                for rsel in SelectIter::new(&r.selects) {
-                    if self.resolve_index(rs, state, &rsel) == Some(idx)
-                        && self.data_guard_holds(r, state, &rsel)
+                let mut rsels = Selections::new(&r.selects);
+                while let Some(rsel) = rsels.next_binding() {
+                    if self.resolve_index(rs, state, rsel) == Some(idx)
+                        && self.data_guard_holds(r, state, rsel)
                     {
-                        enabled.push((ri, rsel));
+                        enabled.push((ri, rsel.to_vec()));
                     }
                 }
             }
@@ -505,20 +522,17 @@ impl<'n> Explorer<'n> {
         // Every automaton with an enabled receiver participates with one
         // nondeterministically chosen edge: enumerate the combinations.
         let mut combo = vec![0_usize; choices.len()];
+        let mut participants: Vec<Participant> = Vec::with_capacity(choices.len() + 1);
         loop {
-            let mut participants: Vec<(AutomatonId, &Edge, Vec<i64>)> =
-                vec![(AutomatonId(ai), e, sel.clone())];
+            participants.clear();
+            participants.push((AutomatonId(ai), e, sel));
             let mut receivers = Vec::new();
             for (ci, (bi, enabled)) in choices.iter().enumerate() {
                 let (ri, rsel) = &enabled[combo[ci]];
-                participants.push((
-                    AutomatonId(*bi),
-                    &self.net.automata[*bi].edges[*ri],
-                    rsel.clone(),
-                ));
+                participants.push((AutomatonId(*bi), &self.net.automata[*bi].edges[*ri], rsel));
                 receivers.push((AutomatonId(*bi), *ri));
             }
-            if let Some(next) = self.fire(state, &participants) {
+            if let Some(next) = self.fire(state, &participants, scratch) {
                 out.push((
                     Action::Sync {
                         label: format!(
@@ -554,7 +568,8 @@ impl<'n> Explorer<'n> {
     fn fire(
         &self,
         state: &SymState,
-        participants: &[(AutomatonId, &Edge, Vec<i64>)],
+        participants: &[Participant],
+        scratch: &mut LuScratch,
     ) -> Option<SymState> {
         // 1. Data guards (on the pre-store).
         for (_, e, sel) in participants {
@@ -575,27 +590,23 @@ impl<'n> Explorer<'n> {
         //    evaluated over the evolving store at each participant's turn.
         let mut store = state.store.clone();
         let mut locs = state.locs.clone();
-        let mut resets: Vec<(tempo_dbm::Clock, i64)> = Vec::new();
         for (aid, e, sel) in participants {
             for (clock, value) in &e.resets {
                 let v = value.eval(&self.net.decls, &store, sel).ok()?;
                 if v < 0 {
                     return None;
                 }
-                resets.push((*clock, v));
+                zone.reset(*clock, v);
             }
             e.update.execute(&self.net.decls, &mut store, sel).ok()?;
             locs[aid.index()] = e.to;
-        }
-        for (clock, v) in resets {
-            zone.reset(clock, v);
         }
         // 4. Target invariants.
         if !self.apply_invariants(&locs, &mut zone) {
             return None;
         }
         let mut next = SymState { locs, store, zone };
-        self.delay_close(&mut next);
+        self.delay_close(&mut next, scratch);
         if next.zone.is_empty() {
             return None;
         }
@@ -612,24 +623,36 @@ impl<'n> Explorer<'n> {
         let dim = self.net.dim();
         let mut escape = Federation::empty(dim);
         let delay = self.delay_allowed(state);
-        for zone in self.enabled_guard_zones(state) {
-            let mut fed = Federation::from_zones(dim, vec![zone]);
+        let covered = self.visit_enabled_guard_zones(state, |mut zone| {
             if delay {
                 // Points that can delay (within the state's delay-closed
                 // zone) into the guard.
-                fed.down();
+                zone.down();
             }
-            fed = fed.intersection_zone(&state.zone);
-            escape.union_with(&fed);
+            // One piece covering the whole state leaves nothing to
+            // subtract: the state is deadlock-free.
+            if state.zone.is_subset_of(&zone) {
+                return ControlFlow::Break(());
+            }
+            if zone.intersect(&state.zone) {
+                escape.add_zone(zone);
+            }
+            ControlFlow::Continue(())
+        });
+        if covered.is_break() {
+            return Federation::empty(dim);
         }
         Federation::from_zones(dim, vec![state.zone.clone()]).subtract(&escape)
     }
 
-    /// The guard zones (within `state.zone`) of every action transition
-    /// enabled from the state's discrete part, with target-invariant
-    /// feasibility folded in.
-    fn enabled_guard_zones(&self, state: &SymState) -> Vec<Dbm> {
-        let mut zones = Vec::new();
+    /// Passes `visit` the guard zone (within `state.zone`) of each action
+    /// transition enabled from the state's discrete part, with
+    /// target-invariant feasibility folded in, until `visit` breaks.
+    fn visit_enabled_guard_zones(
+        &self,
+        state: &SymState,
+        mut visit: impl FnMut(Dbm) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let committed = self.committed_set(state);
         let any_committed = committed.iter().any(|&c| c);
         for (ai, a) in self.net.automata.iter().enumerate() {
@@ -639,17 +662,19 @@ impl<'n> Explorer<'n> {
                         if any_committed && !committed[ai] {
                             continue;
                         }
-                        for sel in SelectIter::new(&e.selects) {
+                        let mut sels = Selections::new(&e.selects);
+                        while let Some(sel) = sels.next_binding() {
                             if let Some(z) =
                                 self.edge_source_zone(state, &[(AutomatonId(ai), e, sel)])
                             {
-                                zones.push(z);
+                                visit(z)?;
                             }
                         }
                     }
                     Some(sync) if sync.dir == SyncDir::Send => {
-                        for sel in SelectIter::new(&e.selects) {
-                            let Some(idx) = self.resolve_index(sync, state, &sel) else {
+                        let mut sels = Selections::new(&e.selects);
+                        while let Some(sel) = sels.next_binding() {
+                            let Some(idx) = self.resolve_index(sync, state, sel) else {
                                 continue;
                             };
                             match self.net.channels[sync.channel.index()].kind {
@@ -667,19 +692,20 @@ impl<'n> Explorer<'n> {
                                             {
                                                 continue;
                                             }
-                                            for rsel in SelectIter::new(&r.selects) {
-                                                if self.resolve_index(rs, state, &rsel) != Some(idx)
+                                            let mut rsels = Selections::new(&r.selects);
+                                            while let Some(rsel) = rsels.next_binding() {
+                                                if self.resolve_index(rs, state, rsel) != Some(idx)
                                                 {
                                                     continue;
                                                 }
                                                 if let Some(z) = self.edge_source_zone(
                                                     state,
                                                     &[
-                                                        (AutomatonId(ai), e, sel.clone()),
+                                                        (AutomatonId(ai), e, sel),
                                                         (AutomatonId(bi), r, rsel),
                                                     ],
                                                 ) {
-                                                    zones.push(z);
+                                                    visit(z)?;
                                                 }
                                             }
                                         }
@@ -691,11 +717,10 @@ impl<'n> Explorer<'n> {
                                     if any_committed && !committed[ai] {
                                         continue;
                                     }
-                                    if let Some(z) = self.edge_source_zone(
-                                        state,
-                                        &[(AutomatonId(ai), e, sel.clone())],
-                                    ) {
-                                        zones.push(z);
+                                    if let Some(z) =
+                                        self.edge_source_zone(state, &[(AutomatonId(ai), e, sel)])
+                                    {
+                                        visit(z)?;
                                     }
                                 }
                             }
@@ -705,7 +730,7 @@ impl<'n> Explorer<'n> {
                 }
             }
         }
-        zones
+        ControlFlow::Continue(())
     }
 
     /// The subset of `state.zone` from which the joint edge can be taken:
@@ -713,11 +738,7 @@ impl<'n> Explorer<'n> {
     /// onto the source valuations (resets are to constants, so invariant
     /// atoms over reset clocks become constant checks and atoms over
     /// unreset clocks remain source constraints).
-    fn edge_source_zone(
-        &self,
-        state: &SymState,
-        participants: &[(AutomatonId, &Edge, Vec<i64>)],
-    ) -> Option<Dbm> {
+    fn edge_source_zone(&self, state: &SymState, participants: &[Participant]) -> Option<Dbm> {
         for (_, e, sel) in participants {
             if !self.data_guard_holds(e, state, sel) {
                 return None;
@@ -732,20 +753,28 @@ impl<'n> Explorer<'n> {
             }
         }
         // Collect reset values (pre-store approximation for the data part;
-        // exact for constant resets, which is all our models use).
-        let mut reset_to: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
+        // exact for constant resets, which is all our models use). A clock
+        // reset twice keeps its last value.
+        let mut reset_to: Vec<(usize, i64)> = Vec::new();
         let mut locs = state.locs.clone();
         for (aid, e, sel) in participants {
             for (clock, value) in &e.resets {
                 let v = value.eval(&self.net.decls, &state.store, sel).ok()?;
-                reset_to.insert(clock.index(), v);
+                reset_to.push((clock.index(), v));
             }
             locs[aid.index()] = e.to;
         }
+        let reset_value = |clock: usize| {
+            reset_to
+                .iter()
+                .rev()
+                .find(|&&(c, _)| c == clock)
+                .map(|&(_, v)| v)
+        };
         for (a, &l) in self.net.automata.iter().zip(&locs) {
             for atom in &a.locations[l.index()].invariant {
-                let vi = reset_to.get(&atom.i.index()).copied();
-                let vj = reset_to.get(&atom.j.index()).copied();
+                let vi = reset_value(atom.i.index());
+                let vj = reset_value(atom.j.index());
                 match (vi, vj) {
                     (Some(vi), Some(vj)) => {
                         if !atom.bound.satisfied_by(vi - vj) {
@@ -778,59 +807,122 @@ impl<'n> Explorer<'n> {
     }
 }
 
-/// Iterator over the cartesian product of `select` ranges.
-struct SelectIter {
-    ranges: Vec<(i64, i64)>,
-    current: Option<Vec<i64>>,
+/// Cursor over the cartesian product of `select` ranges, in the order
+/// that increments the first range fastest. Every binding is produced in
+/// the cursor's one buffer. The product is empty if any range is.
+struct Selections<'r> {
+    ranges: &'r [(i64, i64)],
+    current: Vec<i64>,
+    /// Whether `current` holds a binding not yet handed out.
+    pending: bool,
 }
 
-impl SelectIter {
-    fn new(ranges: &[(i64, i64)]) -> Self {
-        let ok = ranges.iter().all(|(lo, hi)| lo <= hi);
-        SelectIter {
-            ranges: ranges.to_vec(),
-            current: ok.then(|| ranges.iter().map(|(lo, _)| *lo).collect()),
+impl<'r> Selections<'r> {
+    fn new(ranges: &'r [(i64, i64)]) -> Self {
+        if ranges.iter().any(|(lo, hi)| lo > hi) {
+            return Selections {
+                ranges: &[],
+                current: Vec::new(),
+                pending: false,
+            };
+        }
+        Selections {
+            ranges,
+            current: ranges.iter().map(|&(lo, _)| lo).collect(),
+            pending: true,
         }
     }
-}
 
-impl Iterator for SelectIter {
-    type Item = Vec<i64>;
-
-    fn next(&mut self) -> Option<Vec<i64>> {
-        let current = self.current.clone()?;
-        // Advance.
-        let mut next = current.clone();
-        let mut pos = 0;
-        loop {
-            if pos == self.ranges.len() {
-                self.current = None;
-                break;
-            }
-            next[pos] += 1;
-            if next[pos] <= self.ranges[pos].1 {
-                self.current = Some(next);
-                break;
-            }
-            next[pos] = self.ranges[pos].0;
-            pos += 1;
+    /// The next binding, or `None` once every binding was produced.
+    fn next_binding(&mut self) -> Option<&[i64]> {
+        if self.pending {
+            self.pending = false;
+            return Some(&self.current);
         }
-        Some(current)
+        for (v, &(lo, hi)) in self.current.iter_mut().zip(self.ranges) {
+            if *v < hi {
+                *v += 1;
+                return Some(&self.current);
+            }
+            *v = lo;
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures;
     use crate::model::NetworkBuilder;
     use tempo_expr::Expr;
 
+    /// The deadlock federation by full subtraction of every escape piece,
+    /// with no early exit.
+    fn deadlock_by_subtraction(exp: &Explorer, state: &SymState) -> Federation {
+        let dim = exp.net.dim();
+        let mut escape = Federation::empty(dim);
+        let delay = exp.delay_allowed(state);
+        let mut zones = Vec::new();
+        let all = exp.visit_enabled_guard_zones(state, |z| {
+            zones.push(z);
+            ControlFlow::Continue(())
+        });
+        assert!(all.is_continue());
+        for zone in zones {
+            let mut fed = Federation::from_zones(dim, vec![zone]);
+            if delay {
+                fed.down();
+            }
+            fed = fed.intersection_zone(&state.zone);
+            escape.union_with(&fed);
+        }
+        Federation::from_zones(dim, vec![state.zone.clone()]).subtract(&escape)
+    }
+
+    #[test]
+    fn covered_deadlock_exit_matches_full_subtraction() {
+        for (name, net, deadlocked) in [
+            ("train-gate(4)", fixtures::train_gate(4), false),
+            ("sink", fixtures::sink(), true),
+            ("late guard", fixtures::late_guard(), true),
+            ("empty select", fixtures::empty_select(), true),
+        ] {
+            let (states, _) = crate::ModelChecker::new(&net).reachable_states();
+            let exp = Explorer::new(&net);
+            let mut dead = 0;
+            for s in &states {
+                let fed = exp.deadlock_federation(s);
+                assert_eq!(fed, deadlock_by_subtraction(&exp, s), "{name}: {s:?}");
+                dead += usize::from(!fed.is_empty());
+            }
+            assert_eq!(
+                dead > 0,
+                deadlocked,
+                "{name}: {dead} of {} states",
+                states.len()
+            );
+        }
+    }
+
     #[test]
     fn select_iter_enumerates_product() {
-        let items: Vec<_> = SelectIter::new(&[(0, 1), (5, 6)]).collect();
+        let collect = |ranges: &[(i64, i64)]| {
+            let mut sels = Selections::new(ranges);
+            let mut items = Vec::new();
+            while let Some(sel) = sels.next_binding() {
+                items.push(sel.to_vec());
+            }
+            items
+        };
+        let items = collect(&[(0, 1), (5, 6)]);
         assert_eq!(items, vec![vec![0, 5], vec![1, 5], vec![0, 6], vec![1, 6]]);
-        let empty: Vec<_> = SelectIter::new(&[]).collect();
+        let empty = collect(&[]);
         assert_eq!(empty, vec![Vec::<i64>::new()]);
+        // One empty range empties the product, wherever it stands.
+        assert!(collect(&[(0, 1), (5, 3)]).is_empty());
+        assert!(collect(&[(5, 3), (0, 1)]).is_empty());
+        assert!(collect(&[(2, 1)]).is_empty());
     }
 
     #[test]
@@ -975,14 +1067,7 @@ mod tests {
     #[test]
     fn deadlock_federation_detects_stuck_states() {
         // L0 --(x<=2)--> L1; from x>2 onward the state is dead.
-        let mut b = NetworkBuilder::new();
-        let x = b.clock("x");
-        let mut a = b.automaton("A");
-        let l0 = a.location("L0");
-        let l1 = a.location("L1");
-        a.edge(l0, l1).guard_clock(ClockAtom::le(x, 2)).done();
-        a.done();
-        let net = b.build();
+        let net = fixtures::late_guard();
         let exp = Explorer::new(&net);
         let init = exp.initial_state();
         // The guard is reachable by delaying from every point <= 2, but the

@@ -96,7 +96,31 @@ impl StateFormula {
     /// uniform across a symbolic state's zone).
     #[must_use]
     pub fn is_discrete(&self) -> bool {
-        self.clock_atoms().is_empty()
+        match self {
+            StateFormula::Clock(_) => false,
+            StateFormula::Not(f) => f.is_discrete(),
+            StateFormula::And(fs) | StateFormula::Or(fs) => fs.iter().all(Self::is_discrete),
+            StateFormula::True
+            | StateFormula::False
+            | StateFormula::At(..)
+            | StateFormula::Data(_) => true,
+        }
+    }
+
+    /// The truth value of a clock-free formula in the state's discrete
+    /// part. By induction, such a formula's federation is the whole zone
+    /// when this is `true` and empty when it is `false`.
+    fn holds_discrete(&self, net: &Network, state: &SymState) -> bool {
+        match self {
+            StateFormula::True => true,
+            StateFormula::False => false,
+            StateFormula::At(a, l) => state.locs[a.index()] == *l,
+            StateFormula::Data(e) => e.eval_bool(net.decls(), &state.store, &[]).unwrap_or(false),
+            StateFormula::Clock(_) => unreachable!("holds_discrete on a clock atom"),
+            StateFormula::Not(f) => !f.holds_discrete(net, state),
+            StateFormula::And(fs) => fs.iter().all(|f| f.holds_discrete(net, state)),
+            StateFormula::Or(fs) => fs.iter().any(|f| f.holds_discrete(net, state)),
+        }
     }
 
     /// The federation of valuations of `state.zone` satisfying the
@@ -105,23 +129,15 @@ impl StateFormula {
     pub fn sat_federation(&self, net: &Network, state: &SymState) -> Federation {
         let dim = state.zone.dim();
         let whole = || Federation::from_zones(dim, vec![state.zone.clone()]);
+        if self.is_discrete() {
+            // All of the zone or none of it.
+            return if self.holds_discrete(net, state) {
+                whole()
+            } else {
+                Federation::empty(dim)
+            };
+        }
         match self {
-            StateFormula::True => whole(),
-            StateFormula::False => Federation::empty(dim),
-            StateFormula::At(a, l) => {
-                if state.locs[a.index()] == *l {
-                    whole()
-                } else {
-                    Federation::empty(dim)
-                }
-            }
-            StateFormula::Data(e) => {
-                if e.eval_bool(net.decls(), &state.store, &[]).unwrap_or(false) {
-                    whole()
-                } else {
-                    Federation::empty(dim)
-                }
-            }
             StateFormula::Clock(atom) => {
                 let mut z = state.zone.clone();
                 if z.constrain(atom.i, atom.j, atom.bound) {
@@ -148,27 +164,45 @@ impl StateFormula {
                 }
                 acc
             }
+            StateFormula::True
+            | StateFormula::False
+            | StateFormula::At(..)
+            | StateFormula::Data(_) => unreachable!("clock-free formulas returned above"),
         }
     }
 
     /// Whether some valuation of the state satisfies the formula.
     #[must_use]
     pub fn holds_somewhere(&self, net: &Network, state: &SymState) -> bool {
-        !self.sat_federation(net, state).is_empty()
+        if self.is_discrete() {
+            !state.zone.is_empty() && self.holds_discrete(net, state)
+        } else {
+            !self.sat_federation(net, state).is_empty()
+        }
     }
 
     /// Whether every valuation of the state satisfies the formula.
     #[must_use]
     pub fn holds_everywhere(&self, net: &Network, state: &SymState) -> bool {
-        StateFormula::not(self.clone())
-            .sat_federation(net, state)
-            .is_empty()
+        if self.is_discrete() {
+            state.zone.is_empty() || self.holds_discrete(net, state)
+        } else {
+            self.violation_federation(net, state).is_empty()
+        }
     }
 
     /// The subset of `state.zone` *not* satisfying the formula.
     #[must_use]
     pub fn violation_federation(&self, net: &Network, state: &SymState) -> Federation {
-        StateFormula::not(self.clone()).sat_federation(net, state)
+        let dim = state.zone.dim();
+        let whole = Federation::from_zones(dim, vec![state.zone.clone()]);
+        if !self.is_discrete() {
+            whole.subtract(&self.sat_federation(net, state))
+        } else if self.holds_discrete(net, state) {
+            Federation::empty(dim)
+        } else {
+            whole
+        }
     }
 
     /// Convenience: restricts a zone to the satisfying subset, returning
@@ -183,7 +217,9 @@ impl StateFormula {
 mod tests {
     use super::*;
     use crate::model::NetworkBuilder;
-    use tempo_dbm::Clock;
+    use proptest::prelude::*;
+    use tempo_dbm::{Bound, Clock};
+    use tempo_expr::BinOp;
 
     fn simple_net() -> (Network, AutomatonId, LocationId, Clock) {
         let mut b = NetworkBuilder::new();
@@ -253,5 +289,143 @@ mod tests {
         assert_eq!(f.clock_atoms().len(), 1);
         assert!(!f.is_discrete());
         assert!(StateFormula::at(aid, l0).is_discrete());
+    }
+
+    /// The satisfying federation computed by zone operations alone, with
+    /// no clock-free shortcut.
+    fn sat_by_federations(f: &StateFormula, net: &Network, state: &SymState) -> Federation {
+        let dim = state.zone.dim();
+        let whole = || Federation::from_zones(dim, vec![state.zone.clone()]);
+        let uniform = |holds: bool| {
+            if holds {
+                whole()
+            } else {
+                Federation::empty(dim)
+            }
+        };
+        match f {
+            StateFormula::True => whole(),
+            StateFormula::False => Federation::empty(dim),
+            StateFormula::At(a, l) => uniform(state.locs[a.index()] == *l),
+            StateFormula::Data(e) => {
+                uniform(e.eval_bool(net.decls(), &state.store, &[]).unwrap_or(false))
+            }
+            StateFormula::Clock(atom) => {
+                let mut z = state.zone.clone();
+                if z.constrain(atom.i, atom.j, atom.bound) {
+                    Federation::from_zones(dim, vec![z])
+                } else {
+                    Federation::empty(dim)
+                }
+            }
+            StateFormula::Not(g) => whole().subtract(&sat_by_federations(g, net, state)),
+            StateFormula::And(fs) => {
+                let mut acc = whole();
+                for g in fs {
+                    acc = acc.intersection(&sat_by_federations(g, net, state));
+                    if acc.is_empty() {
+                        break;
+                    }
+                }
+                acc
+            }
+            StateFormula::Or(fs) => {
+                let mut acc = Federation::empty(dim);
+                for g in fs {
+                    acc.union_with(&sat_by_federations(g, net, state));
+                }
+                acc
+            }
+        }
+    }
+
+    /// Random formulas over train-gate(`n`): location atoms of every
+    /// automaton, data atoms over `len` and `list` (one of which fails to
+    /// evaluate while the queue is empty), and, with `clocks`, bounds and
+    /// differences on the trains' clocks.
+    fn arb_formula(net: &Network, n: usize, clocks: bool) -> BoxedStrategy<StateFormula> {
+        let len = net.decls().lookup("len").expect("len");
+        let list = net.decls().lookup("list").expect("list");
+        let n_i64 = n as i64;
+        let mut leaves = vec![
+            Just(StateFormula::True).boxed(),
+            Just(StateFormula::False).boxed(),
+            (0..n + 1, 0..5_usize)
+                .prop_map(|(a, l)| StateFormula::at(AutomatonId(a), LocationId(l)))
+                .boxed(),
+            (0..n_i64 + 1)
+                .prop_map(move |k| StateFormula::data(Expr::var(len).ge(Expr::konst(k))))
+                .boxed(),
+            (0..n_i64)
+                .prop_map(move |k| {
+                    StateFormula::data(Expr::index(list, Expr::konst(0)).eq(Expr::konst(k)))
+                })
+                .boxed(),
+            Just(StateFormula::data(
+                Expr::konst(1)
+                    .bin(BinOp::Div, Expr::var(len))
+                    .eq(Expr::konst(1)),
+            ))
+            .boxed(),
+        ];
+        if clocks {
+            leaves.push(
+                (1..n + 1, 0..25_i64, 0..4_u8)
+                    .prop_map(|(x, c, op)| {
+                        let x = Clock(x);
+                        StateFormula::clock(match op {
+                            0 => ClockAtom::le(x, c),
+                            1 => ClockAtom::lt(x, c),
+                            2 => ClockAtom::ge(x, c),
+                            _ => ClockAtom::gt(x, c),
+                        })
+                    })
+                    .boxed(),
+            );
+            leaves.push(
+                (1..n + 1, 1..n + 1, -10..10_i64)
+                    .prop_map(|(i, j, c)| {
+                        StateFormula::clock(ClockAtom::diff(Clock(i), Clock(j), Bound::le(c)))
+                    })
+                    .boxed(),
+            );
+        }
+        proptest::Union::new(leaves).prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(StateFormula::not),
+                prop::collection::vec(inner.clone(), 0..4).prop_map(StateFormula::and),
+                prop::collection::vec(inner, 0..4).prop_map(StateFormula::or),
+            ]
+        })
+    }
+
+    #[test]
+    fn clock_free_fast_paths_match_federations() {
+        let mut rng = proptest::new_rng(proptest::seed_for("formula::clock_free_fast_paths"));
+        for n in [3, 4] {
+            let net = crate::fixtures::train_gate(n);
+            let budget = tempo_obs::Budget::unlimited().with_max_states(300);
+            let (states, _) = crate::ModelChecker::new(&net)
+                .reachable_states_governed(&budget)
+                .into_value();
+            assert_eq!(states.len(), 300, "train-gate({n}) has more states");
+            for clocks in [false, true] {
+                let formulas = arb_formula(&net, n, clocks);
+                let mut mixed = 0;
+                for _ in 0..48 {
+                    let f = formulas.generate(&mut rng);
+                    mixed += usize::from(!f.is_discrete());
+                    for s in &states {
+                        let sat = sat_by_federations(&f, &net, s);
+                        let violation = sat_by_federations(&StateFormula::not(f.clone()), &net, s);
+                        assert_eq!(f.sat_federation(&net, s), sat, "{f:?} on {s:?}");
+                        assert_eq!(f.violation_federation(&net, s), violation, "{f:?}");
+                        assert_eq!(f.holds_somewhere(&net, s), !sat.is_empty(), "{f:?}");
+                        assert_eq!(f.holds_everywhere(&net, s), violation.is_empty(), "{f:?}");
+                    }
+                }
+                assert_eq!(mixed > 0, clocks, "train-gate({n}): {mixed} mixed formulas");
+            }
+        }
     }
 }

@@ -39,6 +39,8 @@ mod codec;
 mod digest;
 mod digital;
 mod explore;
+#[cfg(test)]
+mod fixtures;
 pub mod flow;
 mod formula;
 mod liveness;

@@ -1030,13 +1030,7 @@ mod tests {
     #[test]
     fn deadlock_detection() {
         // Sink location with no edges: deadlock.
-        let mut b = NetworkBuilder::new();
-        let mut a = b.automaton("A");
-        let l0 = a.location("L0");
-        let sink = a.location("Sink");
-        a.edge(l0, sink).done();
-        a.done();
-        let net = b.build();
+        let net = crate::fixtures::sink();
         let mut mc = ModelChecker::new(&net);
         let (verdict, _) = mc.deadlock_free();
         assert!(!verdict.holds());

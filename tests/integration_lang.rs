@@ -52,7 +52,7 @@ fn gen_cmp(rng: &mut StdRng) -> CmpOp {
 /// A compile-time integer expression over params and literals.
 fn gen_bound(rng: &mut StdRng, pools: &Pools) -> IntExpr {
     match rng.gen_range(0..6u32) {
-        0 | 1 | 2 => IntExpr::Lit(rng.gen_range(0..=9i64)),
+        0..=2 => IntExpr::Lit(rng.gen_range(0..=9i64)),
         3 if !pools.params.is_empty() => IntExpr::Name(ident(pick(rng, &pools.params))),
         4 if !pools.params.is_empty() => IntExpr::Bin(
             *pick(rng, &[IntOp::Add, IntOp::Sub, IntOp::Mul]),
@@ -183,10 +183,9 @@ fn gen_formula(rng: &mut StdRng, pools: &Pools, instances: &[String], depth: u32
                     IntExpr::Lit(rng.gen_range(0..=hi)),
                 )
             }
-            _ if !instances.is_empty() => Formula::AtLoc(
-                ident(pick(rng, instances)),
-                ident(pick(rng, &pools.procs)),
-            ),
+            _ if !instances.is_empty() => {
+                Formula::AtLoc(ident(pick(rng, instances)), ident(pick(rng, &pools.procs)))
+            }
             _ => Formula::True,
         };
     }
@@ -245,10 +244,7 @@ fn gen_assert(rng: &mut StdRng, pools: &Pools, instances: &[String]) -> AssertKi
         },
         _ => {
             if rng.gen_bool(0.5) {
-                AssertKind::Refines(
-                    ident(pick(rng, instances)),
-                    ident(pick(rng, instances)),
-                )
+                AssertKind::Refines(ident(pick(rng, instances)), ident(pick(rng, instances)))
             } else {
                 AssertKind::Ioco(ident(pick(rng, instances)), ident(pick(rng, instances)))
             }
@@ -313,7 +309,7 @@ fn gen_model(rng: &mut StdRng) -> Model {
                 size: None,
                 lo: IntExpr::Lit(0),
                 hi: IntExpr::Lit(hi),
-                init: rng.gen_bool(0.5).then(|| IntExpr::Lit(0)),
+                init: rng.gen_bool(0.5).then_some(IntExpr::Lit(0)),
             });
         }
     }
@@ -362,7 +358,7 @@ fn gen_model(rng: &mut StdRng) -> Model {
                 .channels
                 .iter()
                 .filter(|_| rng.gen_bool(0.5))
-                .map(|c| ident(c))
+                .map(ident)
                 .collect()
         })
         .collect();
@@ -437,8 +433,10 @@ fn corpus_goldens_are_canonical() {
             "{name}: canonical rendering drifted from tests/golden/{name}.tempo \
              (re-bless with TEMPO_BLESS=1 if intentional)"
         );
-        let reparsed =
-            parse(&golden).unwrap_or_else(|e| panic!("{name}: golden must parse: {e}"));
-        assert_eq!(reparsed, model, "{name}: golden parses back to the corpus model");
+        let reparsed = parse(&golden).unwrap_or_else(|e| panic!("{name}: golden must parse: {e}"));
+        assert_eq!(
+            reparsed, model,
+            "{name}: golden parses back to the corpus model"
+        );
     }
 }

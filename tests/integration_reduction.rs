@@ -365,3 +365,59 @@ fn symmetry_counters_on_default_train_gate_are_pinned() {
         ]
     );
 }
+
+/// Pins the exact work counters of the `ta-zones` benchmark checks: the
+/// default config with symmetry off (POR, LU and slicing on). Train-gate
+/// 5 `A[]` safety and train-gate 4 deadlock-freedom run the zone path
+/// end to end: successor firing, goal and prune tests, and the symbolic
+/// deadlock check. Any exact speed-up of those reproduces these figures
+/// bit for bit. At 2–4 workers the verdict and its trace must match one
+/// worker's.
+#[test]
+fn zone_counters_without_symmetry_are_pinned() {
+    let config = || ExploreConfig::default().with_symmetry(false);
+    let tg5 = train_gate(5);
+    let tg4 = train_gate(4);
+    let safety = tg5.safety();
+    let (safe, safe_stats) = ModelChecker::new(&tg5.net)
+        .with_config(config())
+        .always(&safety);
+    let (dl, dl_stats) = ModelChecker::new(&tg4.net)
+        .with_config(config())
+        .deadlock_free();
+    assert!(safe.holds(), "train-gate(5) is safe");
+    assert!(dl.holds(), "train-gate(4) is deadlock-free");
+    // (explored, stored, transitions): train-gate(5) A[] safety, then
+    // train-gate(4) deadlock-freedom.
+    assert_eq!(
+        [
+            (
+                safe_stats.explored,
+                safe_stats.stored,
+                safe_stats.transitions
+            ),
+            (dl_stats.explored, dl_stats.stored, dl_stats.transitions),
+        ],
+        [(7734, 5826, 11078), (4167, 3649, 7000)]
+    );
+    for workers in 2..=4 {
+        let (par_safe, _) = ModelChecker::new(&tg5.net)
+            .with_config(config())
+            .with_threads(workers)
+            .always(&safety);
+        let (par_dl, _) = ModelChecker::new(&tg4.net)
+            .with_config(config())
+            .with_threads(workers)
+            .deadlock_free();
+        assert_eq!(
+            format!("{par_safe:?}"),
+            format!("{safe:?}"),
+            "workers={workers}: A[] verdict or trace moved"
+        );
+        assert_eq!(
+            format!("{par_dl:?}"),
+            format!("{dl:?}"),
+            "workers={workers}: deadlock verdict or trace moved"
+        );
+    }
+}
